@@ -108,12 +108,13 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="OMP kernel backend: 'numpy' (reference), "
-                             "a compiled backend such as 'numba', or "
+                        help="OMP kernel backend: 'panel' (lockstep "
+                             "numpy kernel), 'numpy' (reference), a "
+                             "compiled backend such as 'numba', or "
                              "'auto' to prefer whichever compiled "
                              "backend is importable (default: the "
                              "REPRO_OMP_BACKEND environment variable, "
-                             "then 'numpy')")
+                             "then 'panel')")
     parser.add_argument("--mpi-backend", default=None,
                         choices=("threads", "processes", "auto"),
                         help="SPMD execution backend for emulated runs "

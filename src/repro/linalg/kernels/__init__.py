@@ -14,17 +14,21 @@ compiled-kernels layering RankMap and gpaw use — so compiled
 implementations can be swapped in without touching the accounting
 layer:
 
+``panel``
+    The default: a plain-numpy kernel that advances every column of a
+    panel in lockstep, one atom per step, so each numpy call works on a
+    whole ``(B, L)`` slab (:mod:`repro.linalg.kernels.panel_kernel`).
+    Its outputs are *grouping invariant*: a column's bits never depend
+    on its batch mates.
 ``numpy``
     The bit-exact reference (the historical ``_batch_omp_column`` loop,
-    moved verbatim into :mod:`repro.linalg.kernels.numpy_ref`).
+    moved verbatim into :mod:`repro.linalg.kernels.numpy_ref`) and the
+    conformance oracle every other backend is measured against.
 ``numba``
     A lazily-compiled ``@njit`` kernel running the whole panel's greedy
     loops in machine code (:mod:`repro.linalg.kernels.numba_kernel`).
     Optional dependency: registered always, available only when numba
     imports.
-``cupy``
-    A registration stub reserving the name for the GPU path
-    (:mod:`repro.linalg.kernels.cupy_kernel`); see ROADMAP item 2.
 
 Selection precedence (first match wins):
 
@@ -34,20 +38,20 @@ Selection precedence (first match wins):
 2. a process default installed with :func:`set_default_backend` (the
    CLI's ``--backend`` flag does this);
 3. the ``REPRO_OMP_BACKEND`` environment variable;
-4. the built-in default, ``numpy``.
+4. the built-in default, :data:`BUILTIN_DEFAULT` (``panel``).
 
 The special name ``auto`` resolves to the first *available* compiled
-backend (currently numba) and silently degrades to the numpy reference
-when none is importable — it never warns and never fails.
+backend (currently numba) and silently falls back to the built-in
+default when none is importable — it never warns and never fails.
 
 Tolerance contract
 ------------------
-Compiled backends must select the **identical atom sequence** as the
+Every other backend must select the **identical atom sequence** as the
 numpy reference on well-conditioned inputs (the conformance suite's
 golden cases) and reproduce its coefficients to :data:`COEF_RTOL` /
 :data:`COEF_ATOL`.  Exact bit-identity across backends is *not*
-promised — compiled substitution loops round differently from
-LAPACK — which is why the backend choice is recorded by consumers that
+promised — their substitution loops round differently from LAPACK —
+which is why the backend choice is recorded by consumers that
 persist results (the streaming encoder's checkpoints) and why every
 bit-identity guarantee in the repo (serial vs. parallel vs. streaming
 vs. serving) is scoped to *within one backend*.
@@ -58,14 +62,19 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import KernelError
 
 __all__ = [
+    "BUILTIN_DEFAULT",
     "COEF_ATOL",
     "COEF_RTOL",
     "OMP_BACKEND_ENV",
     "OMPKernelBackend",
+    "PanelCodes",
     "available_backends",
     "default_backend_name",
     "get_backend",
@@ -89,11 +98,57 @@ COEF_ATOL = 1e-12
 #: Compiled backends tried, in order, when resolving ``auto``.
 AUTO_PREFERENCE = ("numba",)
 
+#: The backend used when nothing else is configured, and the one
+#: ``auto`` falls back to when no compiled backend is importable.
+BUILTIN_DEFAULT = "panel"
+
+
+@dataclass
+class PanelCodes:
+    """The codes of one panel's columns, as arrays.
+
+    Row ``j`` describes column ``j``: its first ``iterations[j]``
+    entries of ``support`` (selection order) and ``coefficients`` are
+    the code; entries past that are padding (support ``-1``,
+    coefficient ``0``).  A Batch-OMP column's support size equals its
+    iteration count.
+    """
+
+    support: np.ndarray        # (B, K) int64
+    coefficients: np.ndarray   # (B, K) float64
+    res_sq: np.ndarray         # (B,) float64, final ‖r‖²
+    iterations: np.ndarray     # (B,) int64
+    converged: np.ndarray      # (B,) bool
+
+    @classmethod
+    def from_columns(cls, results) -> "PanelCodes":
+        """Pack :meth:`OMPKernelBackend.batch_omp_columns` tuples."""
+        b = len(results)
+        iterations = np.array([len(r[0]) for r in results], dtype=np.int64)
+        width = int(iterations.max()) if b else 0
+        support = np.full((b, width), -1, dtype=np.int64)
+        coef = np.zeros((b, width))
+        for j, (s, c, _, _, _) in enumerate(results):
+            support[j, :len(s)] = s
+            coef[j, :len(s)] = c
+        return cls(support, coef,
+                   np.array([r[2] for r in results], dtype=np.float64),
+                   iterations,
+                   np.array([r[4] for r in results], dtype=bool))
+
+    def columns(self) -> list:
+        """The per-column ``(support, coefficients, res_sq, iterations,
+        converged)`` tuples of :meth:`OMPKernelBackend.batch_omp_columns`."""
+        return [(self.support[j, :t].copy(), self.coefficients[j, :t].copy(),
+                 float(self.res_sq[j]), int(t), bool(self.converged[j]))
+                for j, t in enumerate(self.iterations)]
+
 
 class OMPKernelBackend:
     """One implementation of the per-column Batch-OMP greedy loop.
 
-    Subclasses implement :meth:`batch_omp_columns` — everything else
+    Subclasses implement :meth:`batch_omp_columns` (and may override
+    :meth:`encode_panel`, which the orchestration calls) — everything else
     (strict-mode raises, CSC assembly, FLOP accounting, metrics) stays
     in the orchestration layer, so a backend only ever sees numeric
     arrays and returns numeric arrays.
@@ -148,6 +203,17 @@ class OMPKernelBackend:
         support in **selection order** (the orchestration layer sorts).
         """
         raise NotImplementedError
+
+    def encode_panel(self, gram, dta_panel, col_sq, eps: float,
+                     max_atoms: int | None) -> PanelCodes:
+        """:meth:`batch_omp_columns` with the result as :class:`PanelCodes`.
+
+        This is what the orchestration layer calls.  The default packs
+        the per-column tuples; a backend that already holds its panel
+        as arrays overrides it to skip the round trip.
+        """
+        return PanelCodes.from_columns(self.batch_omp_columns(
+            gram, dta_panel, col_sq, eps, max_atoms))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<OMPKernelBackend {self.name!r}>"
@@ -217,7 +283,8 @@ def default_backend_name() -> str:
     """The name the process would resolve with no explicit backend."""
     if _DEFAULT_OVERRIDE is not None:
         return _DEFAULT_OVERRIDE
-    return os.environ.get(OMP_BACKEND_ENV, "").strip().lower() or "numpy"
+    return (os.environ.get(OMP_BACKEND_ENV, "").strip().lower()
+            or BUILTIN_DEFAULT)
 
 
 def resolve_backend(backend=None) -> OMPKernelBackend:
@@ -225,8 +292,9 @@ def resolve_backend(backend=None) -> OMPKernelBackend:
 
     ``backend`` may be a backend instance (returned as-is), a name, or
     ``None`` — in which case the process default, then
-    ``REPRO_OMP_BACKEND``, then ``numpy`` apply.  ``auto`` picks the
-    first available compiled backend and falls back to ``numpy``.
+    ``REPRO_OMP_BACKEND``, then :data:`BUILTIN_DEFAULT` apply.  ``auto``
+    picks the first available compiled backend and falls back to
+    :data:`BUILTIN_DEFAULT`.
     """
     if isinstance(backend, OMPKernelBackend):
         return backend
@@ -240,7 +308,7 @@ def resolve_backend(backend=None) -> OMPKernelBackend:
             cls = _REGISTRY.get(candidate)
             if cls is not None and cls.compiled and cls.available():
                 return get_backend(candidate)
-        return get_backend("numpy")
+        return get_backend(BUILTIN_DEFAULT)
     return get_backend(name)
 
 
@@ -283,6 +351,6 @@ def use_backend(name: str | None):
 
 # Built-in backends register on import (cheap: no optional dependency
 # is imported until a backend is actually resolved and used).
-from repro.linalg.kernels import cupy_kernel  # noqa: E402,F401
 from repro.linalg.kernels import numba_kernel  # noqa: E402,F401
 from repro.linalg.kernels import numpy_ref  # noqa: E402,F401
+from repro.linalg.kernels import panel_kernel  # noqa: E402,F401

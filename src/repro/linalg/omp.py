@@ -25,10 +25,9 @@ import numpy as np
 
 from repro import observability as obs
 from repro.errors import DictionaryError, ValidationError
-from repro.linalg.kernels import resolve_backend
+from repro.linalg.kernels import PanelCodes, resolve_backend
 from repro.online.stats import record_encode
 from repro.linalg.kernels.numpy_ref import batch_omp_column
-from repro.sparse.builder import ColumnBuilder
 from repro.sparse.csc import CSCMatrix
 
 #: Backwards-compatible alias: the reference per-column kernel now lives
@@ -297,6 +296,64 @@ def batch_omp_solve(d, a, eps: float, *, gram: np.ndarray | None = None,
     return OMPResult(support, coef, float(np.sqrt(res_sq)), converged, it)
 
 
+def assemble_codes(parts: list[PanelCodes], nrows: int):
+    """The coefficient matrix of consecutive panels' codes, built at once.
+
+    Each panel's ``(B, K)`` support/coefficient arrays are sorted row by
+    row (padding keys sort last) and masked down to their valid entries,
+    which lands them directly in CSC order; ``indptr`` is the prefix sum
+    of the per-column counts.  Both the serial sweep and the parallel
+    engine's merge go through here, so their outputs share one layout
+    and the same bits.  Returns ``(C, iterations, converged)``.
+    """
+    data, indices = [], []
+    for part in parts:
+        width = part.support.shape[1]
+        valid = np.arange(width) < part.iterations[:, None]
+        keys = np.where(valid, part.support, nrows)
+        order = np.argsort(keys, axis=1, kind="stable")
+        rows = np.take_along_axis(keys, order, axis=1)
+        keep = rows < nrows
+        indices.append(rows[keep])
+        data.append(np.take_along_axis(part.coefficients, order,
+                                       axis=1)[keep])
+    iterations = np.concatenate(
+        [part.iterations for part in parts] + [np.empty(0, np.int64)])
+    converged = np.concatenate(
+        [part.converged for part in parts] + [np.empty(0, bool)])
+    indptr = np.zeros(iterations.size + 1, dtype=np.int64)
+    np.cumsum(iterations, out=indptr[1:])
+    c = CSCMatrix(np.concatenate(data + [np.empty(0)]),
+                  np.concatenate(indices + [np.empty(0, np.int64)]),
+                  indptr, (nrows, iterations.size), check=False)
+    return c, iterations, converged
+
+
+def greedy_flops(l: int, iterations) -> int:
+    """Ledger FLOPs of the greedy loop for per-column atom counts.
+
+    The step that grows a column's support to ``k`` atoms refreshes its
+    ``L`` correlations against ``k`` atoms (``2·L·k``) and does ``O(k²)``
+    triangular work (counted as ``2·k²``).  Summed over ``k = 1..t``
+    that is ``L·t(t+1) + t(t+1)(2t+1)/3`` for a column with ``t`` atoms:
+    quadratic in ``t``, not linear.
+    """
+    t = np.asarray(iterations, dtype=np.int64)
+    return int(np.sum(l * t * (t + 1) + t * (t + 1) * (2 * t + 1) // 3))
+
+
+def encode_flops(transform_nnz: int, l: int, iterations, nnz: int) -> int:
+    """The FLOP ledger of one matrix encode.
+
+    ``DᵀA`` is ``2·transform_nnz`` per column (``2·M·L`` dense — a
+    factored dictionary counts its actual ``Σⱼ nnz(Sⱼ)``), the greedy
+    loop is :func:`greedy_flops`, and ``2·nnz(C)`` is the paper's
+    ``O(M·N·L + nnz(C))`` bound's second term.
+    """
+    return (2 * int(transform_nnz) * len(iterations)
+            + greedy_flops(l, iterations) + 2 * int(nnz))
+
+
 @dataclass
 class BatchOMPStats:
     """Aggregate accounting of one ``batch_omp_matrix`` call.
@@ -398,9 +455,7 @@ def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
         if gram is None:
             gram = op.gram() if op is not None else cached_gram(d)
         col_sq = blocked_column_squares(a)
-        builder = ColumnBuilder(nrows=l)
-        total_iters = 0
-        converged_mask = np.zeros(n, dtype=bool)
+        parts = []
         # The greedy loops run panel-by-panel through the selected
         # kernel backend (each column is independent, so the grouping
         # is free); the DᵀA precompute streams through the same aligned
@@ -409,22 +464,16 @@ def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
         # encoder reproduce these bits block by block).  Strict-mode
         # still fails on the smallest out-of-tolerance column index.
         for lo, hi, dta_panel in iter_panel_dta(d, a):
-            results = kernel.batch_omp_columns(
-                gram, dta_panel, col_sq[lo:hi], eps, max_atoms)
-            for off, (support, coef, res_sq, it, ok) in enumerate(results):
-                if strict and not ok:
-                    raise _strict_failure(eps, l, res_sq,
-                                          float(col_sq[lo + off]))
-                builder.add_column(support, coef)
-                total_iters += it
-                converged_mask[lo + off] = ok
-        c = builder.finalize()
-    # FLOP model: DᵀA is 2·transform_nnz·N (= 2·M·N·L dense — a
-    # factored dictionary's ledger counts its actual Σⱼ nnz(Sⱼ)); each
-    # greedy iteration touches O(L·k) for the alpha update plus O(k²)
-    # solves — dominated by 2·L per support entry per iteration,
-    # approximated with the paper's O(M·N·L + nnz(C)) bound.
-    flops = 2 * transform_nnz * n + 4 * l * total_iters + 2 * c.nnz
+            codes = kernel.encode_panel(gram, dta_panel, col_sq[lo:hi],
+                                        eps, max_atoms)
+            if strict and not codes.converged.all():
+                j = int(np.argmin(codes.converged))
+                raise _strict_failure(eps, l, float(codes.res_sq[j]),
+                                      float(col_sq[lo + j]))
+            parts.append(codes)
+        c, iterations, converged_mask = assemble_codes(parts, l)
+    total_iters = int(iterations.sum())
+    flops = encode_flops(transform_nnz, l, iterations, c.nnz)
     stats = BatchOMPStats(columns=n,
                           converged_columns=int(converged_mask.sum()),
                           total_iterations=total_iters, flops=int(flops),

@@ -233,7 +233,9 @@ def fork_map(fn, payloads, shared, workers: int) -> list:
     ``fn`` must be a module-level function (pickled by reference);
     ``shared`` is handed to workers through fork-time inheritance and is
     never pickled.  Falls back to an in-process loop — same results,
-    same order — whenever forking is unsafe (see :func:`_can_fork`).
+    same order — whenever forking is unsafe (see :func:`_can_fork`);
+    a fallback from a requested pool of two or more workers counts as
+    ``pool.fork_fallbacks``.
     The kernel backend the parent resolves at entry is pinned for the
     whole map on both paths (see :func:`_pinned_backend_name`).
     """
@@ -243,6 +245,10 @@ def fork_map(fn, payloads, shared, workers: int) -> list:
     workers = min(int(workers), len(payloads))
     pinned = _pinned_backend_name()
     if workers <= 1 or not _can_fork():
+        if workers > 1:
+            # A pool was asked for and refused (a second live thread,
+            # a daemonic parent, no fork): the map runs serially.
+            obs.inc("pool.fork_fallbacks")
         with use_backend(pinned):
             return [fn(shared, p) for p in payloads]
     global _FORK_SHARED
@@ -277,54 +283,39 @@ class _EncodeShared:
     eps: float
     max_atoms: int | None
     strict: bool
-    backend: str = "numpy"   # concrete kernel name, resolved pre-fork
+    backend: str          # concrete kernel name, resolved pre-fork
 
 
 def _encode_chunk(shared: _EncodeShared, bounds: tuple[int, int]):
-    """Code columns ``[lo, hi)``; returns arrays ready for ordered merge.
+    """Code columns ``[lo, hi)``; returns the chunk's panel codes.
 
     The per-column computation runs through exactly the kernel backend
-    the parent resolved (same kernel, same ``‖a‖²`` dot, same stable
-    row sort as the serial path), which is what makes the merged output
-    bit-identical — workers never re-resolve config/env, they inherit
-    the concrete backend name in ``shared``.
+    the parent resolved (same kernel, same ``‖a‖²`` dot), and the parent
+    assembles the chunks with the serial path's
+    :func:`~repro.linalg.omp.assemble_codes`, which is what makes the
+    merged output bit-identical — workers never re-resolve config/env,
+    they inherit the concrete backend name in ``shared``.
     """
     from repro.linalg.kernels import get_backend
 
     kernel = get_backend(shared.backend)
     lo, hi = bounds
-    data_parts: list[np.ndarray] = []
-    index_parts: list[np.ndarray] = []
-    col_nnz = np.zeros(hi - lo, dtype=np.int64)
-    iterations = np.zeros(hi - lo, dtype=np.int64)
-    converged = np.zeros(hi - lo, dtype=bool)
-    results = kernel.batch_omp_columns(
+    codes = kernel.encode_panel(
         shared.gram, shared.dta[:, lo:hi], shared.col_sq[lo:hi],
         shared.eps, shared.max_atoms)
-    for off, (support, coef, res_sq, it, ok) in enumerate(results):
-        if shared.strict and not ok:
-            # Serial raises at the first failing column; report it so the
-            # parent can raise deterministically for the smallest j.
-            return ("error", lo + off, float(res_sq),
-                    float(shared.col_sq[lo + off]))
-        order = np.argsort(support, kind="stable")
-        index_parts.append(support[order])
-        data_parts.append(coef[order])
-        col_nnz[off] = support.size
-        iterations[off] = it
-        converged[off] = ok
-    data = (np.concatenate(data_parts) if data_parts
-            else np.empty(0, dtype=np.float64))
-    indices = (np.concatenate(index_parts) if index_parts
-               else np.empty(0, dtype=np.int64))
+    if shared.strict and not codes.converged.all():
+        # Serial raises at the first failing column; report it so the
+        # parent can raise deterministically for the smallest j.
+        j = int(np.argmin(codes.converged))
+        return ("error", lo + j, float(codes.res_sq[j]),
+                float(shared.col_sq[lo + j]))
     # Worker-side metric deltas: a forked child cannot write into the
     # parent's registry, so counts travel back with the chunk result and
     # the parent merges them (repro.observability cross-process merge).
     metric_deltas = {"omp.columns_encoded": hi - lo,
-                     "omp.converged_columns": int(converged.sum()),
-                     "omp.iterations": int(iterations.sum())}
-    return ("ok", data, indices, col_nnz, iterations, converged,
-            metric_deltas)
+                     "omp.converged_columns": int(codes.converged.sum()),
+                     "omp.iterations": int(codes.iterations.sum())}
+    return ("ok", codes, metric_deltas)
 
 
 def default_chunk_size(n: int, workers: int) -> int:
@@ -352,8 +343,10 @@ def parallel_batch_omp_matrix(d, a, eps: float, *,
     from repro.linalg.kernels import resolve_backend
     from repro.linalg.omp import (
         BatchOMPStats,
+        assemble_codes,
         blocked_column_squares,
         blocked_dta,
+        encode_flops,
         is_dict_operator,
     )
 
@@ -412,28 +405,15 @@ def parallel_batch_omp_matrix(d, a, eps: float, *,
             f"(residual {np.sqrt(res_sq):.3e} > "
             f"target {np.sqrt(target_sq):.3e})")
 
-    data = np.concatenate([p[1] for p in parts]) if parts else \
-        np.empty(0, dtype=np.float64)
-    indices = np.concatenate([p[2] for p in parts]) if parts else \
-        np.empty(0, dtype=np.int64)
-    col_nnz = np.concatenate([p[3] for p in parts]) if parts else \
-        np.empty(0, dtype=np.int64)
-    iterations = np.concatenate([p[4] for p in parts]) if parts else \
-        np.empty(0, dtype=np.int64)
-    converged = np.concatenate([p[5] for p in parts]) if parts else \
-        np.empty(0, dtype=bool)
-
-    from repro.sparse.csc import CSCMatrix
-    indptr = np.concatenate(([0], np.cumsum(col_nnz))).astype(np.int64)
-    c = CSCMatrix(data, indices, indptr, (l, n), check=False)
+    c, iterations, converged = assemble_codes([p[1] for p in parts], l)
     total_iters = int(iterations.sum())
-    flops = 2 * transform_nnz * n + 4 * l * total_iters + 2 * c.nnz
+    flops = encode_flops(transform_nnz, l, iterations, c.nnz)
     stats = BatchOMPStats(columns=n,
                           converged_columns=int(converged.sum()),
                           total_iterations=total_iters, flops=int(flops),
                           converged_mask=converged)
     for p in parts:
-        obs.merge_counters(p[6])
+        obs.merge_counters(p[2])
     obs.merge_counters({"omp.flops": stats.flops})
     # Parent-side atom-usage recording: the merged CSC already contains
     # every worker's selections in column order, so recording here IS

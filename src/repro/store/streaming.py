@@ -51,7 +51,11 @@ from repro.core.fastdict import (
 from repro.core.transform import TransformedData
 from repro.errors import CheckpointError, ValidationError
 from repro.linalg.kernels import resolve_backend
-from repro.linalg.omp import ENCODE_BLOCK_COLS, batch_omp_matrix
+from repro.linalg.omp import (
+    ENCODE_BLOCK_COLS,
+    batch_omp_matrix,
+    encode_flops,
+)
 from repro.sparse.csc import CSCMatrix
 from repro.store.column_store import (
     ColumnStore,
@@ -227,11 +231,13 @@ class StreamingEncoder:
     backend:
         OMP kernel backend (see :mod:`repro.linalg.kernels`); ``None``
         resolves the process/environment default.  The *concrete*
-        resolved name is recorded in the checkpoint and verified on
-        resume — different backends agree only to the kernel tolerance
-        contract, so mixing their blocks would break the bit-identity
-        guarantee.  Checkpoints written before this field existed
-        resume as ``numpy``.
+        resolved name is recorded in the checkpoint — different
+        backends agree only to the kernel tolerance contract, so mixing
+        their blocks would break the bit-identity guarantee.  On resume
+        an explicit backend must match the recorded one, while ``None``
+        adopts it (a checkpoint recorded under the old ``numpy``
+        default resumes on ``numpy``).  Checkpoints written before this
+        field existed resume as ``numpy``.
     fast_dict:
         Learn a sparse-factor fast transform
         (:class:`~repro.core.fastdict.FastDict`) of the sampled
@@ -279,6 +285,9 @@ class StreamingEncoder:
         self.strict = bool(strict)
         self.workers = workers
         self.backend = resolve_backend(backend).name
+        # Like the block width: an explicit backend must match a resumed
+        # checkpoint, while the configured default adopts the recorded one.
+        self._backend_pinned = backend is not None
         self.dictionary = dictionary
         if fast_dict is not None and dictionary is not None \
                 and not isinstance(dictionary, Dictionary):
@@ -422,6 +431,8 @@ class StreamingEncoder:
         params.setdefault("backend", "numpy")
         # Likewise, pre-FastDict checkpoints encoded the dense sample.
         params.setdefault("fast_dict", None)
+        if not self._backend_pinned:
+            self.backend = resolve_backend(params["backend"]).name
         ck_width = params.get("block_width")
         if not self._width_pinned and isinstance(ck_width, int) \
                 and ck_width > 0 and ck_width % ENCODE_BLOCK_COLS == 0:
@@ -637,11 +648,11 @@ class StreamingEncoder:
                       (l, b.indptr.size - 1), check=False)
             for b in blocks)
         total_iters = sum(b.iterations for b in blocks)
-        # Additive form of the in-memory FLOP model: the DᵀA term
-        # 2·T·Σwᵢ telescopes to 2·T·N exactly, where T = transform_nnz
-        # is the per-column Dᵀx cost (M·L dense, Σⱼ nnz(Sⱼ) factored).
-        tnnz = dictionary.transform_nnz
-        flops = 2 * tnnz * n + 4 * l * total_iters + 2 * c.nnz
+        # The in-memory FLOP ledger, driven by per-column atom counts:
+        # a Batch-OMP column's support size is its iteration count, so
+        # the assembled C carries them (reused blocks included).
+        flops = encode_flops(dictionary.transform_nnz, l,
+                             np.diff(c.indptr), c.nnz)
         stats = ExDStats(
             columns=n,
             converged_columns=sum(b.converged for b in blocks),

@@ -10,8 +10,10 @@ Backends whose optional dependency is absent (numba in a bare
 environment) are skipped with the backend's own ``unavailable_reason``
 so the skip is self-explanatory in CI logs.  The suite also pins the
 selection precedence (explicit arg > process default > environment
-variable > ``numpy``) and the end-to-end invariant that serial,
-parallel, streaming and serving paths agree under any one backend.
+variable > the built-in ``panel``), the end-to-end invariant that
+serial, parallel, streaming and serving paths agree under any one
+backend, and the ``panel`` kernel's grouping invariance: a column's
+bits never depend on the columns it is batched with.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 from repro.errors import DictionaryError, KernelError
 from repro.linalg import batch_omp_matrix
 from repro.linalg.kernels import (
+    BUILTIN_DEFAULT,
     COEF_ATOL,
     COEF_RTOL,
     OMP_BACKEND_ENV,
@@ -35,6 +38,7 @@ from repro.linalg.kernels import (
     set_default_backend,
     use_backend,
 )
+from repro.linalg import kernels
 from repro.linalg.kernels.numpy_ref import NumpyBackend, batch_omp_column
 from repro.linalg.parallel_omp import parallel_batch_omp_matrix
 
@@ -181,11 +185,12 @@ class TestBackendConformance:
 
 
 class TestSelectionPrecedence:
-    def test_default_is_numpy(self, monkeypatch):
+    def test_default_is_panel(self, monkeypatch):
         monkeypatch.delenv(OMP_BACKEND_ENV, raising=False)
         set_default_backend(None)
-        assert default_backend_name() == "numpy"
-        assert resolve_backend().name == "numpy"
+        assert BUILTIN_DEFAULT == "panel"
+        assert default_backend_name() == "panel"
+        assert resolve_backend().name == "panel"
 
     def test_env_variable(self, monkeypatch):
         monkeypatch.setenv(OMP_BACKEND_ENV, "numpy")
@@ -208,7 +213,8 @@ class TestSelectionPrecedence:
         assert resolve_backend("numpy").name == "numpy"
         assert resolve_backend(NumpyBackend()).name == "numpy"
 
-    def test_auto_degrades_to_numpy_without_warning(self, monkeypatch):
+    def test_auto_degrades_to_builtin_default_without_warning(
+            self, monkeypatch):
         monkeypatch.delenv(OMP_BACKEND_ENV, raising=False)
         import warnings
 
@@ -219,7 +225,7 @@ class TestSelectionPrecedence:
         if "numba" in available_backends():
             assert resolved.name == "numba"
         else:
-            assert resolved.name == "numpy"
+            assert resolved.name == BUILTIN_DEFAULT
 
     def test_unknown_name_raises_kernel_error(self):
         with pytest.raises(KernelError, match="unknown OMP kernel"):
@@ -230,8 +236,26 @@ class TestSelectionPrecedence:
             set_default_backend("no-such-backend")
 
     def test_unavailable_backend_reports_reason(self):
-        with pytest.raises(KernelError, match="unavailable"):
-            get_backend("cupy")
+        class Missing(OMPKernelBackend):
+            name = "test-missing"
+
+            @classmethod
+            def available(cls):
+                return False
+
+            @classmethod
+            def unavailable_reason(cls):
+                return "its dependency is absent in this test"
+
+        register_backend(Missing)
+        try:
+            with pytest.raises(KernelError,
+                               match="unavailable: its dependency is absent"):
+                get_backend("test-missing")
+            assert "test-missing" in registered_backend_names()
+            assert "test-missing" not in available_backends()
+        finally:
+            kernels._REGISTRY.pop("test-missing")
 
     def test_bad_type_raises(self):
         with pytest.raises(KernelError):
@@ -244,7 +268,7 @@ class TestSelectionPrecedence:
             assert default_backend_name() == "numpy"
             with use_backend(None):      # no-op nesting
                 assert default_backend_name() == "numpy"
-        assert default_backend_name() == "numpy"  # env default
+        assert default_backend_name() == "panel"  # built-in default
         try:
             set_default_backend("numpy")
             with use_backend("numpy"):
@@ -282,10 +306,12 @@ class TestEndToEndConsistency:
         from repro.store import ColumnStore, StreamingEncoder
 
         a, _ = union_data
+        from repro.core import exd_transform
+
         store = ColumnStore.from_matrix(tmp_path / "store", a,
                                         chunk_width=37)
-        t_mem, _ = __import__("repro.core", fromlist=["exd_transform"]) \
-            .exd_transform(a, 10, 0.4, seed=3)
+        with use_backend(name):
+            t_mem, _ = exd_transform(a, 10, 0.4, seed=3)
         enc = StreamingEncoder(store, 10, 0.4, seed=3, backend=name)
         t_str, _, _ = enc.run()
         assert enc.backend == name
@@ -293,13 +319,8 @@ class TestEndToEndConsistency:
                                       t_str.dictionary.atoms)
         np.testing.assert_array_equal(t_mem.coefficients.indices,
                                       t_str.coefficients.indices)
-        if name == "numpy":   # in-memory ref ran the process default
-            np.testing.assert_array_equal(t_mem.coefficients.data,
-                                          t_str.coefficients.data)
-        else:
-            np.testing.assert_allclose(t_mem.coefficients.data,
-                                       t_str.coefficients.data,
-                                       rtol=COEF_RTOL, atol=COEF_ATOL)
+        np.testing.assert_array_equal(t_mem.coefficients.data,
+                                      t_str.coefficients.data)
 
     def test_coefficients_meet_eps(self, name, union_data):
         kernel = _backend_or_skip(name)
@@ -356,3 +377,122 @@ class TestDictOperatorConformance:
                                           backend=name)
         np.testing.assert_array_equal(c1.indices, c2.indices)
         np.testing.assert_array_equal(c1.data, c2.data)
+
+
+def _panel_codes_rows(codes):
+    """Per-column ``(support, coefficients, res_sq, iterations)`` bits."""
+    return [(codes.support[j, :t].tolist(),
+             codes.coefficients[j, :t].tobytes(),
+             codes.res_sq[j].tobytes(), int(t))
+            for j, t in enumerate(codes.iterations)]
+
+
+class TestPanelGroupingInvariance:
+    """A column's ``panel`` output depends only on ``(G, DᵀA_j, ‖a_j‖²)``.
+
+    Every comparison is bit for bit: the serve micro-batcher, fork-pool
+    chunks, SPMD shards and streaming blocks all regroup columns and
+    promise identical output.
+    """
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        from repro.data import union_of_subspaces
+
+        a, _ = union_of_subspaces(48, 256, n_subspaces=6, dim=5,
+                                  noise=0.05, seed=4)
+        rng = np.random.default_rng(5)
+        d = a[:, rng.choice(256, size=96, replace=False)]
+        d = d / np.linalg.norm(d, axis=0, keepdims=True)
+        return _panel_inputs(d, a)
+
+    @staticmethod
+    def _encode(gram, dta, col_sq, cols, eps=0.05, cap=None):
+        cols = np.asarray(cols)
+        return get_backend("panel").encode_panel(
+            gram, dta[:, cols], col_sq[cols], eps, cap)
+
+    def _grouped(self, problem, groups, **kw):
+        gram, dta, col_sq = problem
+        rows = {}
+        for cols in groups:
+            for j, row in zip(cols, _panel_codes_rows(
+                    self._encode(gram, dta, col_sq, cols, **kw))):
+                rows[int(j)] = row
+        return [rows[j] for j in range(dta.shape[1])]
+
+    def test_alone_partitions_and_shuffles_match_full_panel(self, problem):
+        n = problem[1].shape[1]
+        full = self._grouped(problem, [np.arange(n)])
+        assert len({row[3] for row in full}) > 2   # supports differ
+        assert full == self._grouped(problem, [[j] for j in range(n)])
+        rng = np.random.default_rng(7)
+        for size in (1, 37, 256):
+            perm = rng.permutation(n)
+            groups = [perm[lo:lo + size] for lo in range(0, n, size)]
+            assert full == self._grouped(problem, groups), size
+        assert full == self._grouped(problem, [rng.permutation(n)])
+
+    def test_capacity_growth_leaves_batch_mates_unchanged(self):
+        rng = np.random.default_rng(11)
+        d = rng.standard_normal((128, 160))
+        d /= np.linalg.norm(d, axis=0, keepdims=True)
+        c = np.zeros((160, 9))
+        for j in range(9):
+            k = 20 if j == 4 else 3
+            c[rng.choice(160, size=k, replace=False), j] = \
+                1.0 + rng.random(k)
+        problem = _panel_inputs(d, d @ c)
+        kw = {"eps": 1e-7}
+        together = self._grouped(problem, [np.arange(9)], **kw)
+        alone = self._grouped(problem, [[j] for j in range(9)], **kw)
+        assert together == alone
+        assert together[4][3] == 20 > 16          # grew past 16 slots
+        assert all(row[3] == 3 for j, row in enumerate(together) if j != 4)
+        gram, dta, col_sq = problem
+        want = _reference_panel(gram, dta, col_sq, 1e-7, None)[4]
+        assert together[4][0] == want[0].tolist()
+
+    def test_zero_capped_and_dependent_columns_in_one_batch(self):
+        # Atoms 6, 7 duplicate atoms 0, 1: columns built on 0 and 1 hit
+        # a zero pivot on the duplicate and must ban it, in the same
+        # batch as zero columns and columns that finish early.
+        rng = np.random.default_rng(12)
+        base = rng.standard_normal((16, 6))
+        base /= np.linalg.norm(base, axis=0, keepdims=True)
+        d = np.concatenate([base, base[:, :2]], axis=1)
+        coef = rng.standard_normal((6, 7))
+        coef[:, 2] = 0.0
+        coef[2:, 5] = 0.0
+        a = base @ coef
+        gram, dta, col_sq = _panel_inputs(d, a)
+        for cap in (None, 0, 2, 5):
+            codes = get_backend("panel").encode_panel(gram, dta, col_sq,
+                                                      0.0, cap)
+            want = _reference_panel(gram, dta, col_sq, 0.0, cap)
+            for j, (support, coefs, res_sq, it, ok) in enumerate(want):
+                t = int(codes.iterations[j])
+                assert t == it
+                assert codes.support[j, :t].tolist() == support.tolist()
+                np.testing.assert_allclose(codes.coefficients[j, :t],
+                                           coefs, rtol=COEF_RTOL,
+                                           atol=COEF_ATOL)
+                assert bool(codes.converged[j]) == bool(ok)
+                chosen = set(support.tolist())
+                assert not ({0, 6} <= chosen or {1, 7} <= chosen)
+            assert codes.iterations[2] == 0 and codes.converged[2]
+            assert codes.res_sq[2] == 0.0
+            problem = (gram, dta, col_sq)
+            assert self._grouped(problem, [np.arange(7)], eps=0.0,
+                                 cap=cap) == \
+                self._grouped(problem, [[j] for j in range(7)], eps=0.0,
+                              cap=cap)
+
+    def test_memory_split_changes_no_bit(self, problem, monkeypatch):
+        from repro.linalg.kernels import panel_kernel
+
+        n = problem[1].shape[1]
+        full = self._grouped(problem, [np.arange(n)], eps=0.01)
+        monkeypatch.setattr(panel_kernel, "INITIAL_CAPACITY", 2)
+        monkeypatch.setattr(panel_kernel, "U_BUDGET_BYTES", 1 << 16)
+        assert full == self._grouped(problem, [np.arange(n)], eps=0.01)

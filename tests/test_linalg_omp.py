@@ -135,3 +135,49 @@ class TestBatchOmpMatrix:
         d, signals, _ = dictionary_and_signals
         c, _ = batch_omp_matrix(d, signals, 0.1)
         assert c.shape == (d.shape[1], signals.shape[1])
+
+
+class TestFlopLedger:
+    """The greedy term is quadratic in each column's atom count."""
+
+    def test_greedy_flops_formula(self):
+        from repro.linalg.omp import greedy_flops
+
+        l = 50
+        assert greedy_flops(l, []) == 0
+        assert greedy_flops(l, [0]) == 0
+        # k=1: 2·L·1 + 2·1²
+        assert greedy_flops(l, [1]) == 2 * l + 2
+        # k=1..3: 2·L·(1+2+3) + 2·(1+4+9)
+        assert greedy_flops(l, [3]) == 12 * l + 28
+        assert greedy_flops(l, [1, 3, 0]) == 14 * l + 30
+
+    def test_ledger_on_known_iteration_counts(self, tmp_path):
+        from repro.linalg.parallel_omp import parallel_batch_omp_matrix
+        from repro.store import ColumnStore, StreamingEncoder
+
+        rng = np.random.default_rng(21)
+        m, l = 64, 96
+        d = rng.standard_normal((m, l))
+        d /= np.linalg.norm(d, axis=0, keepdims=True)
+        atoms = [0, 1, 2, 3, 4, 5, 6, 2]          # per-column atom counts
+        c = np.zeros((l, len(atoms)))
+        for j, t in enumerate(atoms):
+            c[rng.choice(l, size=t, replace=False), j] = 1.0 + rng.random(t)
+        a = d @ c
+        code, stats = batch_omp_matrix(d, a, 1e-8)
+        np.testing.assert_array_equal(np.diff(code.indptr), atoms)
+        t = np.array(atoms)
+        greedy = int(np.sum(l * t * (t + 1) + t * (t + 1) * (2 * t + 1) // 3))
+        assert stats.flops == 2 * m * l * len(atoms) + greedy + 2 * code.nnz
+        _, par = parallel_batch_omp_matrix(d, a, 1e-8, workers=2,
+                                           chunk_size=3)
+        assert par.flops == stats.flops
+        # The streaming encoder rebuilds the ledger from the assembled C.
+        store = ColumnStore.from_matrix(tmp_path / "s", a, chunk_width=3)
+        from repro.core.dictionary import Dictionary
+
+        enc = StreamingEncoder(store, l, 1e-8, normalize=False,
+                               dictionary=Dictionary(d, np.arange(l)))
+        _, st, _ = enc.run()
+        assert st.flops == stats.flops

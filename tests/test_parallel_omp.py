@@ -16,6 +16,7 @@ from repro.core.alpha import measure_alpha
 from repro.core.dictionary import sample_dictionary
 from repro.core.exd import exd_transform
 from repro.errors import DictionaryError, ValidationError
+from repro.linalg.kernels import BUILTIN_DEFAULT
 from repro.linalg.omp import batch_omp_matrix
 from repro.linalg.parallel_omp import (
     GRAM_CACHE,
@@ -226,7 +227,7 @@ class TestForkMapBackendPinning:
             names = fork_map(_backend_probe, range(4), None, workers=1)
         finally:
             os.environ.pop("REPRO_OMP_BACKEND", None)
-        assert names == ["numpy"] * 4
+        assert names == [BUILTIN_DEFAULT] * 4
 
     def test_fork_pool_path_ignores_env_mutation(self, monkeypatch):
         import os
@@ -237,7 +238,7 @@ class TestForkMapBackendPinning:
             names = fork_map(_backend_probe, range(6), None, workers=2)
         finally:
             os.environ.pop("REPRO_OMP_BACKEND", None)
-        assert names == ["numpy"] * 6
+        assert names == [BUILTIN_DEFAULT] * 6
 
 
 class TestParallelLeastSquares:
@@ -275,3 +276,32 @@ class TestWorkersPlumbing:
         assert e1.values == e0.values
         assert e1.errors == e0.errors
         assert e1.feasible == e0.feasible
+
+
+def _double(shared, payload):
+    return 2 * payload
+
+
+class TestForkFallbackCounter:
+    def test_second_thread_counts_a_fallback(self):
+        import threading
+
+        from repro import observability as obs
+
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        with obs.observed():
+            other.start()
+            try:
+                assert fork_map(_double, range(4), None, workers=2) == \
+                    [0, 2, 4, 6]
+                assert obs.REGISTRY.counter("pool.fork_fallbacks") == 1
+                # A serial request is not a fallback.
+                fork_map(_double, range(4), None, workers=1)
+                assert obs.REGISTRY.counter("pool.fork_fallbacks") == 1
+                report = obs.collect_report(command="test")
+                assert report.to_dict()["metrics"]["counters"][
+                    "pool.fork_fallbacks"] == 1
+            finally:
+                release.set()
+                other.join()

@@ -423,6 +423,30 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="block_width"):
             self._encoder(store, ck, block_width=256).run(resume=True)
 
+    def test_unpinned_resume_adopts_checkpoint_backend(self, store,
+                                                       tmp_path):
+        """A checkpoint recorded under ``numpy`` (the default before
+        ``panel``) resumes on ``numpy`` when no backend is given, and
+        the re-encoded blocks match an uninterrupted numpy run."""
+        ck = tmp_path / "ck"
+        t1, _, r1 = self._encoder(store, ck, backend="numpy").run()
+        (ck / "blocks" / sorted(p.name for p in
+                                (ck / "blocks").iterdir())[1]).unlink()
+        enc = self._encoder(store, ck)
+        with pytest.warns(UserWarning, match="re-encod"):
+            t2, _, r2 = enc.run(resume=True)
+        assert enc.backend == "numpy"
+        assert r2.blocks_encoded == 1
+        for key in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(t1.coefficients, key),
+                                          getattr(t2.coefficients, key))
+
+    def test_pinned_backend_resume_still_strict(self, store, tmp_path):
+        ck = tmp_path / "ck"
+        self._encoder(store, ck, backend="numpy").run()
+        with pytest.raises(CheckpointError, match="backend"):
+            self._encoder(store, ck, backend="panel").run(resume=True)
+
 
 class TestMemoryBudget:
     def test_plan_block_width_aligned(self):
