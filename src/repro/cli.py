@@ -25,7 +25,7 @@ Commands
     learning error (the Fig. 10/12 measurement for one configuration).
 ``serve``
     Long-lived HTTP encode service: loads fitted transforms, keeps
-    their Gram matrices warm and micro-batches concurrent
+    their Gram matrices warm and continuously batches concurrent
     single-column encodes into shared-``G`` Batch-OMP calls
     (see :mod:`repro.serve`).
 ``maintain``
@@ -382,13 +382,16 @@ def cmd_serve(args) -> int:
         raise ReproError(f"--max-batch must be >= 1, got {args.max_batch}")
     if args.max_queue < 1:
         raise ReproError(f"--max-queue must be >= 1, got {args.max_queue}")
-    if args.max_wait_ms < 0:
-        raise ReproError(
-            f"--max-wait-ms must be >= 0, got {args.max_wait_ms}")
+    if args.max_wait_ms is not None:
+        if args.max_wait_ms < 0:
+            raise ReproError(
+                f"--max-wait-ms must be >= 0, got {args.max_wait_ms}")
+        print("warning: --max-wait-ms is ignored; batches form from what "
+              "queues behind the in-flight encode", file=sys.stderr)
     cost_model = (CostModel(platform_by_name(args.platform))
                   if args.platform else None)
-    app = ServeApp(max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-                   max_queue=args.max_queue, timeout_ms=args.timeout_ms,
+    app = ServeApp(max_batch=args.max_batch, max_queue=args.max_queue,
+                   timeout_ms=args.timeout_ms,
                    cost_model=cost_model, workers=args.workers,
                    backend=args.backend)
     for spec in args.transform or []:
@@ -400,8 +403,7 @@ def cmd_serve(args) -> int:
         print("warning: no --transform given; load dictionaries via "
               "POST /v1/dictionaries", file=sys.stderr)
     print(f"serving on http://{args.host}:{args.port} "
-          f"(max_batch={app.batcher.max_batch}, "
-          f"max_wait_ms={args.max_wait_ms})")
+          f"(max_batch={app.batcher.max_batch}, continuous batching)")
     try:
         asyncio.run(app.run_forever(args.host, args.port))
     except KeyboardInterrupt:
@@ -601,9 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=8000)
     p_srv.add_argument("--max-batch", type=int, default=64,
                        help="largest coalesced encode batch (default: 64)")
-    p_srv.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="batching window after the first request "
-                            "(default: 2.0; 0 disables coalescing)")
+    # deprecated and ignored: batching is continuous
+    p_srv.add_argument("--max-wait-ms", type=float, default=None,
+                       help=argparse.SUPPRESS)
     p_srv.add_argument("--timeout-ms", type=float, default=1000.0,
                        help="default per-request deadline (default: 1000)")
     p_srv.add_argument("--max-queue", type=int, default=512,

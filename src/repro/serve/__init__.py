@@ -4,8 +4,8 @@ The package splits the daemon into three testable layers:
 
 * :mod:`repro.serve.protocol` — wire schemas and :class:`ServeError`;
 * :mod:`repro.serve.registry` — versioned multi-tenant dictionary
-  store with warm Gram caches and atomic default hot-swap;
-* :mod:`repro.serve.batcher` — the async micro-batcher that coalesces
+  store with per-generation Gram matrices and atomic default hot-swap;
+* :mod:`repro.serve.batcher` — the continuous batcher that coalesces
   concurrent single-column encodes into shared-``G`` Batch-OMP calls;
 * :mod:`repro.serve.app` — the stdlib asyncio HTTP front.
 """

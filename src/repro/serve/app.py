@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 
 import numpy as np
@@ -215,7 +216,8 @@ class ServeApp:
         except ServeError as exc:
             extra = {}
             if exc.retry_after is not None:
-                extra["Retry-After"] = f"{max(exc.retry_after, 0):.0f}"
+                # whole seconds, never 0: "retry now" defeats backpressure
+                extra["Retry-After"] = str(max(1, math.ceil(exc.retry_after)))
             obs.inc(f"serve.errors.{exc.status}")
             return exc.status, {"error": exc.message}, extra
         except Exception as exc:  # noqa: BLE001 - keep the daemon alive
@@ -331,7 +333,7 @@ class ServeApp:
             "coalesced_batches": self.batcher.coalesced_batches,
             "encoded_columns": self.batcher.encoded_columns,
             "max_batch": self.batcher.max_batch,
-            "max_wait_ms": self.batcher.max_wait * 1e3,
+            "batching": "continuous",
             "backend": self.batcher.backend,
         }
         if self.maintenance is not None:

@@ -1,21 +1,20 @@
-"""Async micro-batcher: coalesce single-column encodes into Batch-OMP.
+"""Continuous batcher: coalesce single-column encodes into Batch-OMP.
 
 Batch-OMP's economics (paper Fig. 2) come from amortising ``G = DᵀD``
 and the ``DᵀA`` product across many columns — economics a naive
 request-per-call server throws away.  The batcher restores them on the
-request path:
+request path without a latency knob:
 
 * requests enqueue into a bounded queue; a full queue answers **429**
   with ``Retry-After`` (backpressure) instead of building unbounded
   latency;
-* a collector loop drains the queue, waiting at most ``max_wait_ms``
-  after the first request and closing a batch at ``max_batch`` columns;
+* the collector takes one request plus whatever is already queued (up
+  to ``max_batch``) and dispatches at once, never holding a batch open;
 * each batch groups by ``(tenant, generation, eps, max_atoms)``, stacks
   the columns and runs **one**
   :func:`~repro.linalg.parallel_omp.encode_columns` call per group on
-  an executor thread (numpy releases the GIL, so the event loop keeps
-  accepting work while a batch encodes — arrivals during an encode
-  coalesce naturally into the next, larger batch);
+  the encode thread with the generation's own Gram (numpy releases the
+  GIL, so arrivals during an encode queue up and form the next batch);
 * requests whose deadline passed while queued are answered **504**
   without being encoded — enforced both at dispatch (cheap skip) and on
   the awaiting side (``asyncio.wait_for``), so the 504 arrives at the
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -86,8 +86,8 @@ class MicroBatcher:
     max_batch:
         Largest coalesced batch (clamped to one compute panel).
     max_wait_ms:
-        How long the collector holds an open batch for stragglers after
-        the first request arrives.  ``0`` disables coalescing.
+        Deprecated and ignored: batches form from what queued behind
+        the in-flight encode, never by holding a window open.
     max_queue:
         Bound on queued requests; beyond it submissions fail with 429.
     timeout_ms:
@@ -105,16 +105,18 @@ class MicroBatcher:
     """
 
     def __init__(self, registry: DictionaryRegistry, *,
-                 max_batch: int = 64, max_wait_ms: float = 2.0,
+                 max_batch: int = 64, max_wait_ms: float | None = None,
                  max_queue: int = 512, timeout_ms: float = 1000.0,
                  cost_model: CostModel | None = None,
                  workers: int | None = None,
                  backend: str | None = None) -> None:
         if max_batch < 1:
             raise ServeError(400, f"max_batch must be >= 1, got {max_batch}")
+        if max_wait_ms is not None:
+            warnings.warn("max_wait_ms is ignored (batching is continuous)",
+                          DeprecationWarning, stacklevel=2)
         self.registry = registry
         self.max_batch = min(int(max_batch), _max_batch_limit())
-        self.max_wait = max(float(max_wait_ms), 0.0) / 1e3
         self.max_queue = int(max_queue)
         self.timeout = max(float(timeout_ms), 1.0) / 1e3
         self.cost_model = cost_model
@@ -202,7 +204,7 @@ class MicroBatcher:
             raise ServeError(
                 429, f"encode queue is full ({self.max_queue} waiting); "
                      f"retry later",
-                retry_after=max(self.timeout, 2 * self.max_wait)) from None
+                retry_after=self.timeout) from None
         obs.inc("serve.requests")
         # Enforce the deadline on the awaiting side too: the dispatch-
         # time check only fires when the collector reaches the request,
@@ -225,16 +227,8 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         while True:
             batch = [await self._queue.get()]
-            close_at = loop.time() + self.max_wait
-            while len(batch) < self.max_batch:
-                remaining = close_at - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(
-                        self._queue.get(), remaining))
-                except asyncio.TimeoutError:
-                    break
+            while len(batch) < self.max_batch and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             await self._dispatch(batch, loop)
 
     async def _dispatch(self, batch: list[_Pending], loop) -> None:
@@ -259,6 +253,9 @@ class MicroBatcher:
         eps = group[0].eps
         max_atoms = group[0].max_atoms
         columns = np.stack([p.request.column for p in group], axis=1)
+        now = loop.time()
+        for pending in group:
+            obs.observe("serve.queue_wait_ms", (now - pending.enqueued) * 1e3)
         try:
             with obs.span("serve.batch_encode"):
                 results, stats = await loop.run_in_executor(
@@ -282,6 +279,7 @@ class MicroBatcher:
             self.coalesced_batches += 1
             obs.inc("serve.coalesced_batches")
         obs.inc("serve.batches")
+        obs.inc("serve.padded_columns", -len(group) % _max_batch_limit())
         obs.observe("serve.batch_size", len(group))
         self._account(group, results, loop)
         for pending, (support, coef, converged) in zip(group, results):
@@ -296,16 +294,17 @@ class MicroBatcher:
                 eps: float, max_atoms: int | None):
         """Executor-side body: one shared-``G`` Batch-OMP call.
 
-        The Gram matrix travels through the process-wide
-        :data:`~repro.linalg.parallel_omp.GRAM_CACHE` (warmed at load,
-        keyed on the generation's atoms array), so the request path
-        never recomputes ``DᵀD``.  The dictionary is passed as an
+        ``G`` is the generation's own, so the request path never
+        touches the Gram cache.  The dictionary is passed as an
         operator: a factored generation computes the ``DᵀA`` precompute
         through its factor chain at ``O(transform_nnz)`` per column.
         """
-        return encode_columns(generation.transform.dictionary,
-                              columns, eps, max_atoms=max_atoms,
-                              workers=self.workers, backend=self.backend)
+        t0 = time.perf_counter()
+        out = encode_columns(generation.transform.dictionary, columns, eps,
+                             gram=generation.gram, max_atoms=max_atoms,
+                             workers=self.workers, backend=self.backend)
+        obs.observe("serve.encode_ms", (time.perf_counter() - t0) * 1e3)
+        return out
 
     def _account(self, group: list[_Pending], results, loop) -> None:
         """Per-tenant request metrics + Eq. 2/3 cost accounting.

@@ -9,10 +9,10 @@ under the registry lock, so in-flight requests that resolved the old
 generation finish against it while new requests atomically see the new
 one — no request ever observes a half-swapped dictionary.
 
-Loading a generation warms its Gram matrix through the process-wide
-:data:`~repro.linalg.parallel_omp.GRAM_CACHE` (the registry keeps the
-transform — and hence the keyed atoms array — alive, so the cache entry
-survives for the generation's lifetime).
+Loading a generation computes its Gram once and stores it on the
+:class:`Generation`, so encodes never look ``G`` up in the process-wide
+Gram cache; registering freezes the atom array, so an in-place write
+raises instead of serving a stale ``G``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro import observability as obs
 from repro.core.io import load_transform
@@ -31,10 +33,11 @@ __all__ = ["DictionaryRegistry", "Generation"]
 
 @dataclass
 class Generation:
-    """One loaded transform generation of a tenant."""
+    """One loaded transform generation of a tenant and its ``G = DᵀD``."""
 
     number: int
     transform: TransformedData
+    gram: np.ndarray
     source: str
     loaded_at: float
 
@@ -79,22 +82,21 @@ class DictionaryRegistry:
                       set_default: bool = True) -> Generation:
         """Register a fitted transform as the tenant's next generation.
 
-        Warms ``G = DᵀD`` in the Gram cache before the generation
-        becomes visible, so the first request against it never pays the
-        ``O(M·L²)`` product on the request path.
+        Computes ``G = DᵀD`` before the generation becomes visible, so
+        no request against it pays the ``O(M·L²)`` product, and freezes
+        the atom array (``writeable = False``) that ``G`` was built from.
         """
         if not tenant:
             raise ServeError(400, "tenant must be a non-empty string")
-        # Warm before visibility.  Routing through the operator keeps
-        # the cache keyed on the materialised atoms for any dictionary
-        # kind — a factored generation warms (and serves) the same
-        # cache entry the encode path will hit.
-        transform.dictionary.gram()
+        # Routing through the operator builds G from the materialised
+        # atoms for any dictionary kind (dense, factored, block).
+        gram = transform.dictionary.gram()
+        transform.dictionary.atoms.flags.writeable = False
         with self._lock:
             entry = self._tenants.setdefault(tenant, _Tenant())
             number = entry.next_number
             entry.next_number += 1
-            gen = Generation(number=number, transform=transform,
+            gen = Generation(number=number, transform=transform, gram=gram,
                              source=source, loaded_at=time.time())
             entry.generations[number] = gen
             if set_default or entry.default == 0:
@@ -118,8 +120,8 @@ class DictionaryRegistry:
         return gen
 
     def retire(self, tenant: str, generation: int) -> None:
-        """Drop a non-default generation (its Gram cache entry dies
-        with the transform once no in-flight request references it)."""
+        """Drop a non-default generation (its Gram dies with it once no
+        in-flight request references it)."""
         with self._lock:
             entry = self._tenants.get(tenant)
             if entry is None or generation not in entry.generations:

@@ -150,6 +150,16 @@ class TestRegistry:
         assert info["generations"][0]["m"] == transform.m
         assert info["generations"][0]["l"] == transform.l
 
+    def test_registering_freezes_atoms(self, data):
+        t, _ = exd_transform(data, size=L, eps=EPS, seed=5)
+        atoms = t.dictionary.atoms
+        assert atoms.flags.writeable
+        gen = DictionaryRegistry().add_transform("t", t)
+        np.testing.assert_array_equal(gen.gram, atoms.T @ atoms)
+        # the generation's G would silently go stale under this write
+        with pytest.raises(ValueError):
+            atoms[0, 0] = 1.0
+
     def test_warm_gram_cache(self, transform_b):
         from repro.linalg.parallel_omp import cached_gram
         reg = DictionaryRegistry()
@@ -205,7 +215,7 @@ class TestBatcher:
         c_ref, _ = batch_omp_matrix(d, data, EPS)
 
         async def go():
-            batcher = MicroBatcher(reg, max_batch=16, max_wait_ms=20.0)
+            batcher = MicroBatcher(reg, max_batch=16)
             await batcher.start()
             try:
                 results = await asyncio.gather(*[
@@ -231,8 +241,8 @@ class TestBatcher:
         reg.add_transform("t", transform)
 
         async def go():
-            batcher = MicroBatcher(reg, max_queue=2, max_wait_ms=0.0,
-                                   max_batch=1, timeout_ms=30000.0)
+            batcher = MicroBatcher(reg, max_queue=2, max_batch=1,
+                                   timeout_ms=30000.0)
             gate = threading.Event()
             real_encode = batcher._encode
 
@@ -271,7 +281,7 @@ class TestBatcher:
         reg.add_transform("t", transform)
 
         async def go():
-            batcher = MicroBatcher(reg, max_batch=1, max_wait_ms=0.0)
+            batcher = MicroBatcher(reg, max_batch=1)
             gate = threading.Event()
             real_encode = batcher._encode
 
@@ -311,7 +321,7 @@ class TestBatcher:
                 for e in eps_values}
 
         async def go():
-            batcher = MicroBatcher(reg, max_batch=16, max_wait_ms=20.0)
+            batcher = MicroBatcher(reg, max_batch=16)
             await batcher.start()
             try:
                 return await asyncio.gather(*[
@@ -331,6 +341,133 @@ class TestBatcher:
                                           ref.indices[lo:hi])
             np.testing.assert_array_equal(results[i].coefficients,
                                           ref.data[lo:hi])
+
+
+def _gate_encode(batcher):
+    """Stall the batcher's encode thread until the returned ``gate`` is
+    set; ``entered`` is set once an encode is waiting at the gate."""
+    gate, entered = threading.Event(), threading.Event()
+    real_encode = batcher._encode
+
+    def gated_encode(*a, **kw):
+        entered.set()
+        gate.wait(5.0)
+        return real_encode(*a, **kw)
+
+    batcher._encode = gated_encode
+    return gate, entered
+
+
+async def _one_then_burst(batcher, columns):
+    """Submit ``columns[:, 0]``; while its encode is stalled, queue the
+    other columns; release and return every result in column order."""
+    gate, entered = _gate_encode(batcher)
+    await batcher.start()
+
+    def submit(j):
+        return asyncio.create_task(batcher.submit(EncodeRequest(
+            tenant="t", column=columns[:, j])))
+
+    try:
+        first = submit(0)
+        while not entered.is_set():
+            await asyncio.sleep(0.001)
+        rest = [submit(j) for j in range(1, columns.shape[1])]
+        while batcher.queue_depth < len(rest):
+            await asyncio.sleep(0.001)
+        gate.set()
+        return await asyncio.gather(first, *rest)
+    finally:
+        gate.set()
+        await batcher.stop()
+
+
+class TestContinuousBatching:
+    """A lone request dispatches at once; what queues behind an
+    in-flight encode forms the next batch."""
+
+    def test_burst_behind_inflight_encode_forms_one_batch(self, data,
+                                                          transform):
+        k = 9
+        reg = DictionaryRegistry()
+        reg.add_transform("t", transform)
+        c_ref, _ = batch_omp_matrix(transform.dictionary.atoms,
+                                    data[:, :k + 1], EPS)
+        batcher = MicroBatcher(reg, max_batch=64)
+        results = run_async(_one_then_burst(batcher, data[:, :k + 1]))
+        assert batcher.batches == 2
+        assert [r.batch_size for r in results] == [1] + [k] * k
+        for j, res in enumerate(results):
+            lo, hi = int(c_ref.indptr[j]), int(c_ref.indptr[j + 1])
+            np.testing.assert_array_equal(res.support,
+                                          c_ref.indices[lo:hi])
+            np.testing.assert_array_equal(res.coefficients,
+                                          c_ref.data[lo:hi])
+
+    def test_stage_metrics_count_requests_batches_and_padding(
+            self, data, transform):
+        from repro.linalg.omp import ENCODE_BLOCK_COLS
+        k = 5
+        reg = DictionaryRegistry()
+        reg.add_transform("t", transform)
+        with observability.observed():
+            run_async(_one_then_burst(MicroBatcher(reg), data[:, :k + 1]))
+            metrics = observability.REGISTRY
+            assert metrics.counter("serve.requests") == k + 1
+            assert metrics.counter("serve.batches") == 2
+            assert metrics.histogram("serve.queue_wait_ms")["count"] \
+                == k + 1
+            assert metrics.histogram("serve.encode_ms")["count"] == 2
+            assert metrics.counter("serve.padded_columns") \
+                == (ENCODE_BLOCK_COLS - 1) + (ENCODE_BLOCK_COLS - k)
+        observability.reset()
+
+    def test_serving_never_looks_up_the_gram_cache(self, data, transform):
+        from repro.linalg.parallel_omp import GRAM_CACHE
+        reg = DictionaryRegistry()
+        reg.add_transform("t", transform)
+        before = (GRAM_CACHE.hits, GRAM_CACHE.misses)
+
+        async def go():
+            batcher = MicroBatcher(reg)
+            await batcher.start()
+            try:
+                return await asyncio.gather(*[
+                    batcher.submit(EncodeRequest(
+                        tenant="t", column=data[:, j]))
+                    for j in range(32)])
+            finally:
+                await batcher.stop()
+
+        assert len(run_async(go())) == 32
+        assert (GRAM_CACHE.hits, GRAM_CACHE.misses) == before
+
+    def test_max_wait_ms_is_deprecated_and_ignored(self, transform):
+        reg = DictionaryRegistry()
+        reg.add_transform("t", transform)
+        with pytest.warns(DeprecationWarning) as record:
+            legacy = MicroBatcher(reg, max_batch=8, max_wait_ms=60000.0)
+        assert len(record) == 1
+        plain = MicroBatcher(reg, max_batch=8)
+
+        def state(b):
+            return {k: v for k, v in vars(b).items() if k != "_executor"}
+
+        assert state(legacy) == state(plain)
+
+        async def lone():
+            # a held-open window would outlast the 1 s request deadline
+            await legacy.start()
+            try:
+                return await legacy.submit(EncodeRequest(
+                    tenant="t", column=np.ones(M)))
+            finally:
+                await legacy.stop()
+
+        assert run_async(lone()).batch_size == 1
+        with pytest.warns(DeprecationWarning) as record:
+            ServeApp(max_wait_ms=2.0, observe=False)
+        assert len(record) == 1
 
 
 class TestBatcherRegressions:
@@ -367,7 +504,7 @@ class TestBatcherRegressions:
         reg.add_transform("t", transform)
 
         async def go():
-            batcher = MicroBatcher(reg, max_batch=1, max_wait_ms=0.0)
+            batcher = MicroBatcher(reg, max_batch=1)
             gate = threading.Event()
             real_encode = batcher._encode
 
@@ -469,7 +606,7 @@ class _Server:
 
 @pytest.fixture()
 def server(transform):
-    app = ServeApp(max_batch=64, max_wait_ms=25.0, observe=True)
+    app = ServeApp(max_batch=64, observe=True)
     app.registry.add_transform("default", transform)
     observability.reset()
     with _Server(app) as srv:
@@ -676,7 +813,7 @@ class TestHTTP:
             OnlineMaintainer,
         )
 
-        app = ServeApp(max_batch=8, max_wait_ms=1.0, observe=True)
+        app = ServeApp(max_batch=8, observe=True)
         app.registry.add_transform("default", transform)
         observability.reset()
         mnt = OnlineMaintainer(data, transform, seed=0,
@@ -761,8 +898,7 @@ class TestHTTP:
         assert status == 404
 
     def test_backpressure_sets_retry_after(self, transform, data):
-        app = ServeApp(max_batch=1, max_wait_ms=0.0, max_queue=1,
-                       observe=False)
+        app = ServeApp(max_batch=1, max_queue=1, observe=False)
         app.registry.add_transform("default", transform)
         gate = threading.Event()
         real_encode = app.batcher._encode
@@ -789,3 +925,27 @@ class TestHTTP:
             assert any(s == 429 for s in statuses), statuses
             for _status, _body, headers in rejected:
                 assert "Retry-After" in headers
+
+    def test_sub_second_retry_after_rounds_up(self, transform, data):
+        # Pre-fix the header was formatted with "%.0f": a 200 ms
+        # timeout told rejected clients "Retry-After: 0", i.e. retry
+        # immediately, which defeats the backpressure.
+        app = ServeApp(max_batch=1, max_queue=1, timeout_ms=200.0,
+                       observe=False)
+        app.registry.add_transform("default", transform)
+        gate, _entered = _gate_encode(app.batcher)
+        with _Server(app) as srv:
+            def encode(j):
+                return srv.request(
+                    "POST", "/v1/encode",
+                    {"column": [float(v) for v in data[:, j]]})
+
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(encode, j) for j in range(6)]
+                time.sleep(0.3)
+                gate.set()
+                replies = [f.result() for f in futures]
+        rejected = [headers for status, _body, headers in replies
+                    if status == 429]
+        assert rejected, [status for status, _b, _h in replies]
+        assert all(h["Retry-After"] == "1" for h in rejected), rejected

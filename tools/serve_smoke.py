@@ -128,8 +128,8 @@ def main() -> int:
         gen2_path = Path(tmp) / "gen2.npz"
         save_transform(t2, gen2_path)
 
-        app = ServeApp(max_batch=CONCURRENCY, max_wait_ms=25.0,
-                       max_queue=1024, timeout_ms=60000.0)
+        app = ServeApp(max_batch=CONCURRENCY, max_queue=1024,
+                       timeout_ms=60000.0)
         app.registry.add_transform("default", t1)
         daemon = Daemon(app)
         addr = daemon.start()
